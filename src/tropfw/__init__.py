@@ -8,11 +8,14 @@ and tropical consensus trees.
 from .covector import (CovectorCell, CovectorGraph, cell_from_graph,
                        cell_vertices, covector_at, enumerate_bounded_cells,
                        in_tconv, pseudovertices)
-from .errors import (DimensionError, InfeasibleError, ParseError,
-                     ScaleGuardError, TropFWError, ValidationError)
+from .errors import (DimensionError, InfeasibleError, InternalError,
+                     ParseError, ScaleGuardError, TropFWError, ValidationError)
 from .forests import (SpanningForest, realize_cell, spanning_forest,
                       weights_from_forest)
 from .fw import FermatWeberResult, is_fw_point, solve_fw
+# The package itself does not use linalg; it is imported because the
+# benchmark tracer (tropbench/tracing.py) looks up tropfw.linalg.rank.
+from . import linalg  # noqa: F401
 from .points import (DataSet, TropicalPoint, WeightVector, asym_distance,
                      asym_distance_general, normalize)
 from .rationals import Rational, format_rational, parse_rational

@@ -6,7 +6,7 @@ Subcommands: ``fw`` (forward solve), ``cells`` (bounded-cell census),
 byte-deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 2 parse error, 3 dimension/validation error,
-4 infeasible/unrealizable, 5 scale guard.
+4 infeasible/unrealizable, 5 scale guard, 6 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from .covector import CovectorGraph, covector_at, enumerate_bounded_cells
-from .errors import (DimensionError, InfeasibleError, ParseError,
-                     ScaleGuardError, TropFWError, ValidationError)
+from .errors import (DimensionError, InfeasibleError, InternalError,
+                     ParseError, ScaleGuardError, TropFWError, ValidationError)
 from .forests import realize_cell
 from .fw import solve_fw
 from .points import DataSet, WeightVector, normalize
@@ -31,6 +31,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_SCALE = 5
+EXIT_INTERNAL = 6
 
 
 def _read_points(path: str) -> DataSet:
@@ -178,9 +179,17 @@ def cmd_consensus(args) -> int:
 
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
-    from .signomial import WeightedObjective, on_hypersurface
+    from .signomial import (TropicalLinearForm, WeightedObjective, argmax_set,
+                            on_hypersurface)
 
     checks = 0
+
+    def check(ok, what):
+        nonlocal checks
+        if not ok:
+            raise InternalError(f"selftest (seed {args.seed}): {what}")
+        checks += 1
+
     for _ in range(args.trials):
         m, n = rng.randint(2, 4), rng.randint(3, 4)
         rows = [
@@ -195,18 +204,24 @@ def cmd_selftest(args) -> int:
             WeightVector.normalized([rng.randint(1, 9) for _ in range(m)])
             for _ in range(2)
         ]
-        # weight-invariance of covectors and ties
-        assert covector_at(V, x) == covector_at(V, x)
-        assert on_hypersurface(WeightedObjective(V, ws[0]), x) == on_hypersurface(
-            WeightedObjective(V, ws[1]), x
-        )
+        # covectors do not depend on the representative of x
+        shifted = x.shifted(Fraction(rng.randint(-24, 24), rng.randint(1, 12)))
+        G = covector_at(V, x)
+        for i, v in enumerate(V):
+            check(G.rows[i] == argmax_set(TropicalLinearForm(v), shifted),
+                  f"covector row {i} changes with the representative")
+        # ties do not depend on the weights
+        check(on_hypersurface(WeightedObjective(V, ws[0]), x)
+              == on_hypersurface(WeightedObjective(V, ws[1]), x),
+              "ties change with the weights")
         # dual-route agreement
         res = solve_fw(V, ws[0])
         cc = central_cayley_cell(V, ws[0])
-        assert cc.support == res.cell.graph
-        assert cc.optimal_value == res.optimal_value
-        checks += 1
-    sys.stdout.write(f"selftest ok: {checks} trials, seed {args.seed}\n")
+        check(cc.support == res.cell.graph, "lp and transport cells differ")
+        check(cc.optimal_value == res.optimal_value,
+              "lp and transport values differ")
+    sys.stdout.write(f"selftest ok: {args.trials} trials, {checks} checks, "
+                     f"seed {args.seed}\n")
     return 0
 
 
@@ -270,6 +285,9 @@ def main(argv=None) -> int:
     except ScaleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,8 +8,11 @@ convex hull of the data.
 Cell enumeration and vertex computation work combinatorially: the 0-cells
 (pseudovertices) are found by walking the 1-skeleton of the bounded
 complex with exact arithmetic, and every bounded cell is recovered as an
-intersection of its vertices' graphs.  LPs are used only for the generic
-realizability, relative-interior, and boundedness checks.
+intersection of its vertices' graphs.  Dimension and boundedness are read
+off the graph (Develin-Sturmfels, Tropical convexity, 2004): a nonempty
+cell has dimension (number of connected components) - 1, and it is bounded
+iff every coordinate node has an edge.  LPs are used only for the
+realizability and relative-interior checks of an arbitrary graph.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Optional
 
 from . import lp
 from .errors import DimensionError, InfeasibleError, ScaleGuardError, ValidationError
-from .linalg import rank, solve_unique
 from .points import DataSet, TropicalPoint, normalize
 from .signomial import TropicalLinearForm, argmax_set
 
@@ -71,8 +73,9 @@ class CovectorGraph:
             covered |= row
         return len(covered) == self.n
 
-    def component_count(self) -> int:
-        """Connected components, counting isolated right nodes."""
+    def _roots(self) -> list:
+        """Union-find root of each node, left nodes 0..m-1 then right nodes
+        m..m+n-1: two nodes share a root iff they share a component."""
         parent = list(range(self.m + self.n))
 
         def find(a):
@@ -85,29 +88,25 @@ class CovectorGraph:
             ra, rb = find(i), find(self.m + j)
             if ra != rb:
                 parent[ra] = rb
-        return len({find(a) for a in range(self.m + self.n)})
+        return [find(a) for a in range(self.m + self.n)]
+
+    def components(self) -> tuple:
+        """Component id of each node, left nodes 0..m-1 then right nodes
+        m..m+n-1; ids are numbered in order of first appearance."""
+        ids = {}
+        return tuple(ids.setdefault(r, len(ids)) for r in self._roots())
+
+    def component_count(self) -> int:
+        """Connected components, counting isolated right nodes."""
+        return len(set(self._roots()))
 
     def right_components(self):
         """Partition of right nodes by connected component."""
-        parent = list(range(self.m + self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (i, j) in self.edges:
-            ra, rb = find(i), find(self.m + j)
-            if ra != rb:
-                parent[ra] = rb
+        roots = self._roots()
         comps = {}
         for j in range(self.n):
-            comps.setdefault(find(self.m + j), set()).add(j)
-        return sorted((sorted(c) for c in comps.values()))
-
-    def with_edge(self, i: int, j: int) -> "CovectorGraph":
-        return CovectorGraph(self.m, self.n, self.edges | {(i, j)})
+            comps.setdefault(roots[self.m + j], []).append(j)
+        return sorted(comps.values())
 
     def intersection(self, other: "CovectorGraph") -> Optional["CovectorGraph"]:
         """Edge intersection; None if some left node would lose all edges."""
@@ -244,31 +243,14 @@ def cell_relint_witness(V: DataSet, G: CovectorGraph):
     return normalize(avg), False
 
 
-def _cell_bounded_lp(n, eqs, ineqs) -> bool:
-    """Boundedness by testing each coordinate direction for unboundedness."""
-    prog = _base_lp(n, eqs, ineqs)
-    results = prog.solve_sequence(
-        [({f"x{j}": 1}, True) for j in range(n)]
-    )
-    return all(r.status != lp.UNBOUNDED for r in results)
-
-
 def cell_dim(V: DataSet, G: CovectorGraph) -> int:
-    """Dimension of the cell from the rank of its equality system."""
-    eqs, _ = cell_constraint_rows(V, G)
-    if not eqs:
-        return V.n - 1
-    return V.n - 1 - rank([list(coeffs) for coeffs, _ in eqs])
+    """Dimension of the cell of G: its graph's component count minus 1.
 
-
-def point_of_connected_graph(V: DataSet, G: CovectorGraph) -> TropicalPoint:
-    """The unique point of a 0-dimensional cell (connected graph)."""
-    eqs, _ = cell_constraint_rows(V, G)
-    rows = [list(coeffs) for coeffs, _ in eqs]
-    rhs = [r for _, r in eqs]
-    rows.append([Fraction(1)] * V.n)
-    rhs.append(_ZERO)
-    return TropicalPoint(tuple(solve_unique(rows, rhs)))
+    The cell's equalities tie together the coordinates of each component,
+    so a nonempty cell keeps one free coordinate per component, less one
+    for the zero sum.
+    """
+    return G.component_count() - 1
 
 
 @dataclass
@@ -306,9 +288,8 @@ def cell_from_graph(V: DataSet, G: CovectorGraph) -> CovectorCell:
     witness, exact = found
     if not exact and covector_at(V, witness) != G:
         return CovectorCell.empty(V, G)
-    dim = cell_dim(V, G)
-    bounded = _cell_bounded_lp(V.n, eqs, ineqs)
-    return CovectorCell(G, V, eqs, ineqs, dim=dim, bounded=bounded, witness=witness)
+    return CovectorCell(G, V, eqs, ineqs, dim=cell_dim(V, G),
+                        bounded=G.right_covered(), witness=witness)
 
 
 # -- walking the 1-skeleton ---------------------------------------------
@@ -459,13 +440,10 @@ def tropical_projection(V: DataSet, x: TropicalPoint) -> tuple:
     )
 
 
-def in_tconv(V: DataSet, x: TropicalPoint, method: str = "cell") -> bool:
-    """Membership in the min-tropical convex hull of the data."""
-    if method == "projection":
-        return tropical_projection(V, x) == x.coords
-    G = covector_at(V, x)
-    eqs, ineqs = cell_constraint_rows(V, G)
-    return _cell_bounded_lp(V.n, eqs, ineqs)
+def in_tconv(V: DataSet, x: TropicalPoint) -> bool:
+    """Membership in the min-tropical convex hull of the data: x lies in
+    the hull iff its covector cell is bounded."""
+    return covector_at(V, x).right_covered()
 
 
 def enumerate_bounded_cells(V: DataSet) -> list:

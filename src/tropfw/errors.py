@@ -23,3 +23,7 @@ class InfeasibleError(TropFWError):
 
 class ScaleGuardError(TropFWError):
     """Desk-scale guard exceeded (enumeration requested beyond m*n limit)."""
+
+
+class InternalError(TropFWError):
+    """A broken internal invariant: a bug in this package, not bad input."""

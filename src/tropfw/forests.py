@@ -2,9 +2,10 @@
 
 A spanning forest of the cell's covector graph yields weights via
 lambda(e) = 1/(n * deg r(e)), w_i = sum of lambda over edges at left node
-i.  Every constructed weight vector is verified with the forward solver;
-if the deterministic forest fails, all alternative spanning forests are
-tried before giving up.
+i.  For a bounded cell of the data every spanning forest realizes the
+cell, so one deterministic forest is built and its weights are verified
+with one forward solve; a graph whose weights give another cell is not a
+bounded cell of the data and is refused at once.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-
-import networkx as nx
 
 from .covector import CovectorGraph
 from .errors import InfeasibleError, ValidationError
-from .fw import FermatWeberResult, solve_fw
+from .fw import solve_fw
 from .points import DataSet, WeightVector
 
 
@@ -41,27 +39,6 @@ class SpanningForest:
 
     def right_degree(self, j: int) -> int:
         return sum(1 for (_, b) in self.edges if b == j)
-
-
-def _components(m: int, n: int, edges) -> tuple:
-    parent = list(range(m + n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in edges:
-        ra, rb = find(i), find(m + j)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {}
-    comp = []
-    for a in range(m + n):
-        r = find(a)
-        comp.append(roots.setdefault(r, len(roots)))
-    return tuple(comp)
 
 
 def spanning_forest(G: CovectorGraph) -> SpanningForest:
@@ -88,7 +65,7 @@ def spanning_forest(G: CovectorGraph) -> SpanningForest:
                     visited[b] = True
                     forest.add(e)
                     queue.append(b)
-    return SpanningForest(m, n, frozenset(forest), _components(m, n, G.edges))
+    return SpanningForest(m, n, frozenset(forest), G.components())
 
 
 def weights_from_forest(F: SpanningForest, n: int) -> WeightVector:
@@ -116,66 +93,19 @@ def edge_weights(F: SpanningForest, n: int) -> dict:
     return {(i, j): Fraction(1, n * degs[j]) for (i, j) in F.edges}
 
 
-def _all_spanning_forests(G: CovectorGraph):
-    """All maximal forests of G with G's component partition, one component
-    at a time; deterministic order."""
-    m = G.m
-    graph = nx.Graph()
-    graph.add_nodes_from(range(m + G.n))
-    for (i, j) in sorted(G.edges):
-        graph.add_edge(i, m + j)
-    comps = [sorted(c) for c in nx.connected_components(graph)]
-    comps.sort()
-    per_comp = []
-    for nodes in comps:
-        sub = graph.subgraph(nodes)
-        if sub.number_of_edges() == 0:
-            per_comp.append([frozenset()])
-            continue
-        trees = []
-        for t in nx.SpanningTreeIterator(sub):
-            trees.append(
-                frozenset(
-                    (min(a, b), max(a, b) - m) for a, b in t.edges()
-                )
-            )
-        per_comp.append(trees)
-    comp_map = _components(m, G.n, G.edges)
-    for combo in product(*per_comp):
-        yield SpanningForest(m, G.n, frozenset().union(*combo), comp_map)
-
-
 def realize_cell(V: DataSet, G: CovectorGraph):
     """Weights making G's cell the full Fermat-Weber set, verified forward.
 
-    Returns (weights, forward result).  Tries the deterministic forest
-    first, then every alternative spanning forest.
+    Returns (weights, forward result).  Raises InfeasibleError when the
+    weights of G's deterministic spanning forest give another cell: then
+    G is not a bounded cell of V.
     """
-    tried = set()
-    attempts = 0
-    first = spanning_forest(G)
-
-    def _try(F):
-        nonlocal attempts
-        if F.edges in tried:
-            return None
-        tried.add(F.edges)
-        attempts += 1
-        w = weights_from_forest(F, V.n)
-        res = solve_fw(V, w)
-        if res.cell.graph == G:
-            return w, res
-        return None
-
-    out = _try(first)
-    if out is not None:
-        return out
-    for F in _all_spanning_forests(G):
-        out = _try(F)
-        if out is not None:
-            return out
-    raise InfeasibleError(
-        f"no spanning forest of {sorted(G.edges)} realizes the cell "
-        f"({attempts} forests tried); the graph is likely not a bounded "
-        f"cell of this data set"
-    )
+    w = weights_from_forest(spanning_forest(G), V.n)
+    res = solve_fw(V, w)
+    if res.cell.graph != G:
+        raise InfeasibleError(
+            f"{sorted(G.edges)} is not a bounded cell of this data set: the "
+            f"weights of its spanning forest give the cell "
+            f"{sorted(res.cell.graph.edges)}"
+        )
+    return w, res

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .covector import (CovectorCell, cell_constraint_rows, cell_dim,
-                       cell_vertices, covector_at)
-from .errors import DimensionError
+from .covector import (CovectorCell, _point_from, cell_constraint_rows,
+                       cell_dim, cell_vertices, covector_at)
+from .errors import DimensionError, InternalError
 from .points import DataSet, TropicalPoint, WeightVector, normalize
 from .signomial import WeightedObjective, eval_objective
 
@@ -52,10 +52,6 @@ def _fw_lp(V: DataSet, w: WeightVector) -> lp.LinearProgram:
     return prog
 
 
-def _point_from(res, n) -> TropicalPoint:
-    return normalize([res[f"x{j}"] for j in range(n)])
-
-
 def solve_fw(V: DataSet, w: WeightVector) -> FermatWeberResult:
     """Minimize sum_i w_i max_j (x_j - v_ij) over zero-sum x, exactly.
 
@@ -68,7 +64,8 @@ def solve_fw(V: DataSet, w: WeightVector) -> FermatWeberResult:
     n, m = V.n, V.m
     prog = _fw_lp(V, w)
     res = prog.solve()
-    assert res.status == lp.OPTIMAL  # objective >= 0 and feasible
+    if res.status != lp.OPTIMAL:  # objective >= 0 and feasible
+        raise InternalError(f"forward LP ended {res.status}")
     fstar = res.value
     xstar = _point_from(res, n)
     tstar = [res[f"t{i}"] for i in range(m)]
@@ -100,7 +97,8 @@ def solve_fw(V: DataSet, w: WeightVector) -> FermatWeberResult:
     points = [xstar]
     zero_keys = set()
     for (i, j), r in zip(todo, results):
-        assert r.status == lp.OPTIMAL  # the optimal face is a polytope
+        if r.status != lp.OPTIMAL:  # the optimal face is a polytope
+            raise InternalError(f"slack LP on the optimal face ended {r.status}")
         slack = r.value + V[i][j]
         if slack == 0:
             zero_keys.add((V[i].coords, j))
@@ -112,8 +110,10 @@ def solve_fw(V: DataSet, w: WeightVector) -> FermatWeberResult:
         [sum(p[j] for p in points) / len(points) for j in range(n)]
     )
     G = covector_at(V, relint)
-    assert G.edges == frozenset(edges)
-    assert G.right_covered()  # optimal cells are bounded
+    if G.edges != frozenset(edges):
+        raise InternalError("the face average does not carry the tight edges")
+    if not G.right_covered():  # optimal cells are bounded
+        raise InternalError("optimal cell is unbounded")
 
     eqs, ineqs = cell_constraint_rows(V, G)
     cell = CovectorCell(

@@ -1,10 +1,10 @@
-"""Tiny exact linear algebra: rank and unique-solution solves over Fraction."""
+"""Tiny exact linear algebra over Fraction: row reduction and rank.
+
+The library itself needs no linear algebra: cell dimensions come from the
+covector graph.  The tests use this module as an independent oracle.
+"""
 
 from fractions import Fraction
-
-from .errors import ValidationError
-
-_ZERO = Fraction(0)
 
 
 def _eliminate(matrix):
@@ -36,26 +36,3 @@ def rank(rows) -> int:
     """Rank of a list of coefficient rows."""
     matrix = [[Fraction(v) for v in row] for row in rows]
     return len(_eliminate(matrix))
-
-
-def solve_unique(rows, rhs):
-    """Solve a consistent system with a unique solution.
-
-    Raises ValidationError if the system is inconsistent or underdetermined.
-    """
-    if not rows:
-        raise ValidationError("empty system")
-    n = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _eliminate(aug)
-    for row in aug[len(pivots):]:
-        if row[-1] != 0:
-            raise ValidationError("inconsistent linear system")
-    if pivots and pivots[-1] == n:
-        raise ValidationError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValidationError("underdetermined linear system")
-    x = [_ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][-1]
-    return x

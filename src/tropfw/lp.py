@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .rationals import parse_rational
 
 OPTIMAL = "optimal"
@@ -110,26 +110,7 @@ class LinearProgram:
         return out
 
     def solve(self) -> LPResult:
-        state = self._build()
-        if state is None:
-            return LPResult(INFEASIBLE)
-        tableau, basis, col_of_var, art_set, total_cols = state
-
-        cost = [_ZERO] * total_cols
-        sign = -_ONE if self._maximize else _ONE
-        for name, c in self._obj.items():
-            pos, neg = col_of_var[name]
-            cost[pos] += sign * c
-            if neg is not None:
-                cost[neg] -= sign * c
-        zrow, _ = self._reduced_costs(tableau, basis, cost)
-        status = self._iterate(tableau, basis, zrow, art_set)
-        if status == UNBOUNDED:
-            return LPResult(UNBOUNDED)
-
-        values = self._extract(tableau, basis, col_of_var)
-        obj = sum((c * values[name] for name, c in self._obj.items()), _ZERO)
-        return LPResult(OPTIMAL, values, obj)
+        return self.solve_sequence([(self._obj, self._maximize)])[0]
 
     def _build(self):
         """Phase 1: a primal-feasible tableau and basis, or None.
@@ -216,7 +197,7 @@ class LinearProgram:
             zrow, zval = self._reduced_costs(tableau, basis, cost)
             status = self._iterate(tableau, basis, zrow, frozenset())
             if status == UNBOUNDED:  # cannot happen: phase-1 objective >= 0
-                raise AssertionError("phase 1 unbounded")
+                raise InternalError("phase 1 unbounded")
             phase1 = self._objective_value(tableau, basis, cost)
             if phase1 != 0:
                 return None

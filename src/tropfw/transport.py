@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import lp
 from .covector import CovectorGraph
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .points import DataSet, WeightVector
 
 
@@ -87,7 +87,8 @@ def solve_transport(inst: TransportationInstance):
     Returns (plan, value) with the plan as an m x n tuple of rationals.
     """
     res = _transport_lp(inst).solve()
-    assert res.status == lp.OPTIMAL  # polytope is nonempty and bounded
+    if res.status != lp.OPTIMAL:  # polytope is nonempty and bounded
+        raise InternalError(f"transportation LP ended {res.status}")
     plan = tuple(
         tuple(res[f"x{i}_{j}"] for j in range(inst.n)) for i in range(inst.m)
     )
@@ -126,9 +127,11 @@ def central_cayley_cell(V: DataSet, w: WeightVector) -> CentralCell:
         [({f"x{i}_{j}": 1}, True) for (i, j) in todo]
     )
     for (i, j), r in zip(todo, results):
-        assert r.status == lp.OPTIMAL
+        if r.status != lp.OPTIMAL:  # the optimal face is a polytope
+            raise InternalError(f"entry LP on the optimal face ended {r.status}")
         if r.value > 0:
             edges.add((i, j))
     support = CovectorGraph(inst.m, inst.n, frozenset(edges))
-    assert support.right_covered()
+    if not support.right_covered():  # every column has positive demand
+        raise InternalError("optimal support misses a column")
     return CentralCell(support, value)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tropfw.cli import main
+
+SRC = Path(__file__).parent.parent / "src"
 
 RUNNING = '[["0","0","0"],["1","-1","0"]]'
 
@@ -163,3 +169,48 @@ def test_selftest_runs(capsys):
     code, out, _ = _run(capsys, "selftest", "--seed", "1", "--trials", "3")
     assert code == 0
     assert "selftest ok: 3 trials" in out
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_selftest_fails_under_optimize_flag():
+    # Invariants are checks that raise, not asserts that -O removes: with
+    # solve_fw reporting the optimum + 1, selftest must fail with exit 6.
+    script = """
+import dataclasses, sys
+import tropfw.cli as cli
+real = cli.solve_fw
+def wrong(V, w):
+    res = real(V, w)
+    return dataclasses.replace(res, optimal_value=res.optimal_value + 1)
+cli.solve_fw = wrong
+sys.exit(cli.main(["selftest", "--trials", "3"]))
+"""
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 6, proc.stderr
+    assert "selftest ok" not in proc.stdout
+    assert "internal error" in proc.stderr
+
+
+def test_import_loads_only_stdlib():
+    script = """
+import sys
+before = set(sys.modules)
+import tropfw
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "tropfw.linalg" in loaded
+    third_party = [
+        name for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and name.split(".")[0] != "tropfw"
+    ]
+    assert third_party == []

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from tropfw import lp
 from tropfw.covector import (CovectorGraph, cell_constraint_rows, cell_dim,
                              cell_from_graph, cell_vertices, covector_at,
                              enumerate_bounded_cells, in_tconv, pseudovertices,
                              tropical_projection)
 from tropfw.errors import ScaleGuardError, ValidationError
+from tropfw.linalg import rank
 from tropfw.points import DataSet, TropicalPoint, normalize
 
 from .gen import random_dataset, random_point
@@ -101,11 +103,14 @@ def test_enumeration_against_sampling_oracle():
 
 
 def test_cell_dim_rank_vs_components():
+    # Oracle: n - 1 minus the rank of the cell's equality system.
     rng = random.Random(37)
     for _ in range(15):
         V = random_dataset(rng, rng.randint(2, 4), rng.randint(3, 4))
         for c in enumerate_bounded_cells(V):
-            assert c.dim == c.graph.component_count() - 1
+            eqs, _ = cell_constraint_rows(V, c.graph)
+            by_rank = V.n - 1 - rank([list(coeffs) for coeffs, _ in eqs])
+            assert c.dim == cell_dim(V, c.graph) == by_rank
 
 
 def test_cells_partition_dimensions_and_vertices():
@@ -154,27 +159,49 @@ def test_cell_from_graph_unrealizable_marker():
     assert cell_from_graph(V, g).is_empty
 
 
+def _bounded_by_lp(V, G):
+    """Oracle: the cell is bounded iff no coordinate grows without bound
+    on it (n LPs over the cell's constraints)."""
+    eqs, ineqs = cell_constraint_rows(V, G)
+    prog = lp.LinearProgram()
+    for j in range(V.n):
+        prog.add_var(f"x{j}")
+    prog.add_eq({f"x{j}": 1 for j in range(V.n)}, 0)
+    for coeffs, rhs in eqs:
+        prog.add_eq({f"x{j}": c for j, c in enumerate(coeffs)}, rhs)
+    for coeffs, rhs in ineqs:
+        prog.add_ge({f"x{j}": c for j, c in enumerate(coeffs)}, rhs)
+    results = prog.solve_sequence([({f"x{j}": 1}, True) for j in range(V.n)])
+    return all(r.status != lp.UNBOUNDED for r in results)
+
+
 def test_boundedness_lp_agrees_with_right_cover():
     rng = random.Random(47)
+    bounded = 0
     for _ in range(25):
         V = random_dataset(rng, rng.randint(2, 3), 3)
         x = random_point(rng, 3)
-        g = covector_at(V, x)
-        cell = cell_from_graph(V, g)
-        assert not cell.is_empty
-        assert cell.bounded == g.right_covered()
+        # x itself, and its projection onto the hull (a bounded cell)
+        for y in (x, normalize(tropical_projection(V, x))):
+            g = covector_at(V, y)
+            cell = cell_from_graph(V, g)
+            assert not cell.is_empty
+            assert cell.bounded == g.right_covered() == _bounded_by_lp(V, g)
+            bounded += cell.bounded
+    assert 25 <= bounded < 50  # both answers occur
 
 
 def test_in_tconv_routes_agree():
+    # Oracle: x lies in the hull iff the tropical projection fixes it.
     rng = random.Random(53)
     for _ in range(25):
         V = random_dataset(rng, rng.randint(2, 4), 3)
         x = random_point(rng, 3)
-        assert in_tconv(V, x) == in_tconv(V, x, method="projection")
+        assert in_tconv(V, x) == (tropical_projection(V, x) == x.coords)
     # Data points always lie in their own hull.
     V = random_dataset(rng, 3, 4)
     for v in V:
-        assert in_tconv(V, v) and in_tconv(V, v, method="projection")
+        assert in_tconv(V, v) and tropical_projection(V, v) == v.coords
 
 
 def test_projection_dominates_and_is_idempotent():

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from tropfw import forests
 from tropfw.covector import CovectorGraph, enumerate_bounded_cells
-from tropfw.errors import ValidationError
-from tropfw.forests import (edge_weights, realize_cell, spanning_forest,
-                            weights_from_forest)
+from tropfw.errors import InfeasibleError, ValidationError
+from tropfw.forests import (SpanningForest, edge_weights, realize_cell,
+                            spanning_forest, weights_from_forest)
 from tropfw.fw import solve_fw
 from tropfw.points import DataSet, WeightVector
 from tropfw.transport import TransportationInstance, solve_transport
@@ -95,6 +97,56 @@ def test_round_trip_random():
             w, res = realize_cell(V, c.graph)
             assert res.cell.graph == c.graph
             assert solve_fw(V, w).cell.graph == c.graph
+
+
+def _all_spanning_forests(G):
+    """Brute force: every edge subset of the right size with G's component
+    partition."""
+    size = G.m + G.n - G.component_count()
+    for sub in itertools.combinations(sorted(G.edges), size):
+        try:
+            H = CovectorGraph(G.m, G.n, frozenset(sub))
+        except ValidationError:  # a left node without an edge
+            continue
+        if H.components() == G.components():
+            yield SpanningForest(G.m, G.n, H.edges, G.components())
+
+
+def test_every_spanning_forest_realizes_its_cell():
+    # realize_cell tries one forest only; on tied data, where cell graphs
+    # have cycles, every other forest must realize the cell as well.
+    rng = random.Random(139)
+    cyclic = forests_checked = 0
+    for _ in range(12):
+        m, n = rng.randint(2, 4), rng.randint(3, 4)
+        V = DataSet.from_rows(
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        )
+        for c in enumerate_bounded_cells(V):
+            if len(c.graph.edges) == m + n - c.graph.component_count():
+                continue  # a forest already
+            cyclic += 1
+            for F in _all_spanning_forests(c.graph):
+                w = weights_from_forest(F, n)
+                assert solve_fw(V, w).cell.graph == c.graph
+                forests_checked += 1
+    assert cyclic >= 20 and forests_checked > cyclic
+
+
+def test_non_cell_refused_after_one_forward_solve(monkeypatch):
+    # The complete graph is not a cell of these three points.
+    V = DataSet.from_rows([[0, 0, 0], [1, -1, 0], [2, 0, -1]])
+    G = CovectorGraph(3, 3, frozenset(itertools.product(range(3), repeat=2)))
+    calls = []
+
+    def counted(V, w):
+        calls.append(w)
+        return solve_fw(V, w)
+
+    monkeypatch.setattr(forests, "solve_fw", counted)
+    with pytest.raises(InfeasibleError):
+        realize_cell(V, G)
+    assert len(calls) == 1
 
 
 def test_barycenter_membership():
