@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trees", help="file with one Newick tree per line")
     p.add_argument("--weights", default="uniform")
     p.add_argument("--anchor", choices=("input-mean", "zero-sum"),
-                   default="input-mean")
+                   default="input-mean",
+                   help="representative of the consensus torus point; "
+                        "zero-sum can print negative leaf branch lengths")
     p.add_argument("--out")
     p.set_defaults(func=cmd_consensus)
 

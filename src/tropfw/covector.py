@@ -8,7 +8,10 @@ convex hull of the data.
 Cell enumeration and vertex computation work combinatorially: the 0-cells
 (pseudovertices) are found by walking the 1-skeleton of the bounded
 complex with exact arithmetic, and every bounded cell is recovered as an
-intersection of its vertices' graphs.  Dimension and boundedness are read
+intersection of its vertices' graphs.  The census walk tries all 2^n - 2
+coordinate subsets as directions at every pseudovertex; the vertex walk of
+one cell tries only the 2^c - 2 unions of its graph's components, where
+c = dim + 1 <= min(m, n).  Dimension and boundedness are read
 off the graph (Develin-Sturmfels, Tropical convexity, 2004): a nonempty
 cell has dimension (number of connected components) - 1, and it is bounded
 iff every coordinate node has an edge.  LPs are used only for the
@@ -388,7 +391,14 @@ def _descend_to_vertex(V: DataSet, x: TropicalPoint):
 
 
 def cell_vertices(cell: CovectorCell) -> list:
-    """Exact vertex set of a bounded nonempty cell, in lexicographic order."""
+    """Exact vertex set of a bounded nonempty cell, in lexicographic order.
+
+    Breadth-first walk over the cell's vertices.  A direction chi_S from a
+    vertex p leads along an edge of the cell only if each row of the cell's
+    graph G lies wholly inside S or wholly outside it, so S is a union of
+    G's components; the walk tries only those 2^c - 2 directions per
+    vertex, where c = dim + 1 <= min(m, n) is G's component count.
+    """
     if cell.is_empty:
         raise InfeasibleError("empty cell has no vertices")
     if not cell.bounded:
@@ -400,10 +410,14 @@ def cell_vertices(cell: CovectorCell) -> list:
     v0, G0 = _descend_to_vertex(V, cell.witness)
     verts = {G0: v0}
     queue = deque([(G0, v0)])
-    subsets = list(_proper_right_subsets(V.n))
+    comps = G.right_components()
+    directions = [  # every nonempty proper union of G's components
+        frozenset(j for k, comp in enumerate(comps) if mask >> k & 1 for j in comp)
+        for mask in range(1, (1 << len(comps)) - 1)
+    ]
     while queue:
         Gp, p = queue.popleft()
-        for S in subsets:
+        for S in directions:
             rows_h = _direction_rows(Gp, S)
             edges_h = frozenset(
                 (i, j) for i, row in enumerate(rows_h) for j in row

@@ -349,7 +349,9 @@ def consensus(
     - ``input-mean``: shift so the mean dissimilarity equals the weighted
       mean of the inputs' mean dissimilarities.  Consensus of copies of a
       tree then reproduces that tree exactly.
-    - ``zero-sum``: report the plain zero-sum representative.
+    - ``zero-sum``: report the plain zero-sum representative.  This is a
+      torus representative, not a tree with nonnegative branch lengths:
+      its leaf branches can be negative, e.g. ``1:-8/5``.
     """
     if not trees:
         raise ValidationError("need at least one input tree")

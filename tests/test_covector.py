@@ -1,19 +1,25 @@
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfw import lp
-from tropfw.covector import (CovectorGraph, cell_constraint_rows, cell_dim,
-                             cell_from_graph, cell_vertices, covector_at,
+from tropfw.covector import (CovectorGraph, _descend_to_vertex,
+                             _direction_rows, _walk_to_boundary,
+                             cell_constraint_rows, cell_dim, cell_from_graph,
+                             cell_vertices, covector_at,
                              enumerate_bounded_cells, in_tconv, pseudovertices,
                              tropical_projection)
 from tropfw.errors import ScaleGuardError, ValidationError
+from tropfw.fw import solve_fw
 from tropfw.linalg import rank
-from tropfw.points import DataSet, TropicalPoint, normalize
+from tropfw.points import DataSet, TropicalPoint, WeightVector, normalize
 
-from .gen import random_dataset, random_point
+from .gen import random_dataset, random_point, random_weights
 
 RUNNING = DataSet.from_rows([[0, 0, 0], [1, -1, 0]])
 
@@ -230,3 +236,80 @@ def test_dim_zero_cells_have_unique_point():
             verts = cell_vertices(c)
             assert len(verts) == 1
             assert verts[0] == c.witness
+
+
+def _scan_vertices(cell):
+    """Oracle: the vertex walk with every proper coordinate subset as a
+    direction at every vertex, 2^n - 2 of them."""
+    V, G = cell.data, cell.graph
+    v0, G0 = _descend_to_vertex(V, cell.witness)
+    verts = {G0: v0}
+    queue = deque([(G0, v0)])
+    while queue:
+        Gp, p = queue.popleft()
+        for size in range(1, V.n):
+            for S in itertools.combinations(range(V.n), size):
+                S = frozenset(S)
+                rows_h = _direction_rows(Gp, S)
+                H = CovectorGraph(V.m, V.n, frozenset(
+                    (i, j) for i, row in enumerate(rows_h) for j in row))
+                if not G.edges <= H.edges or H.component_count() != 2:
+                    continue
+                q = _walk_to_boundary(V, p, rows_h, S)
+                assert q is not None
+                Gq = covector_at(V, q)
+                if Gq not in verts:
+                    verts[Gq] = q
+                    queue.append((Gq, q))
+    return sorted(verts.values(), key=lambda t: t.coords)
+
+
+def _walk_matches_scan(cell):
+    cached = cell._vertices
+    cell._vertices = None  # force the walk instead of the cached list
+    walked = cell_vertices(cell)
+    assert walked == _scan_vertices(cell)
+    if cached is not None:
+        assert walked == cached
+    return walked
+
+
+def test_vertex_walk_matches_subset_scan_on_enumerated_cells():
+    rng = random.Random(71)
+    shapes = [(2, 7), (3, 6), (4, 5), (5, 4), (6, 3), (3, 4), (2, 5)]
+    cells = 0
+    for m, n in shapes * 2:
+        V = random_dataset(rng, m, n, max_den=rng.choice([1, 12]))
+        for c in enumerate_bounded_cells(V):
+            _walk_matches_scan(c)
+            cells += 1
+    assert cells > 500
+
+
+def test_vertex_walk_matches_subset_scan_on_fw_cells():
+    rng = random.Random(73)
+    for _ in range(25):
+        m, n = rng.randint(2, 8), rng.randint(3, 7)
+        V = random_dataset(rng, m, n, max_den=rng.choice([1, 4]))
+        w = random_weights(rng, m) if rng.random() < 0.5 else WeightVector.uniform(m)
+        res = solve_fw(V, w)
+        assert _walk_matches_scan(res.cell) == res.vertices
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda m: st.integers(3, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                     min_size=m, max_size=m),
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+        )))
+)
+def test_vertex_walk_matches_subset_scan_property(data):
+    rows, probe = data
+    V = DataSet.from_rows(rows)
+    x = normalize(tropical_projection(V, normalize(probe)))
+    cell = cell_from_graph(V, covector_at(V, x))
+    assert cell.bounded and not cell.is_empty
+    verts = _walk_matches_scan(cell)
+    assert len(verts) >= cell.dim + 1

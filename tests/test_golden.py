@@ -39,6 +39,7 @@ CASES = {
                              "1/2,1/3,1/6"],
     "consensus_zero_sum": ["consensus", "trees.nwk", "--weights",
                            "1/2,1/3,1/6", "--anchor", "zero-sum"],
+    "consensus_7_leaves": ["consensus", "trees7.nwk", "--weights", "2/3,1/3"],
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -254,3 +255,50 @@ def test_pareto_identical_trees():
     t = cherry3()
     rep = check_pareto([t, t], WeightVector.uniform(2), consensus([t, t], WeightVector.uniform(2)))
     assert isinstance(rep, ParetoReport) and rep.ok
+
+
+def test_consensus_of_8_leaf_trees(monkeypatch):
+    # n = C(8, 2) = 28 coordinates: a scan of all 2^28 - 2 coordinate
+    # subsets per vertex would not finish; the vertex walk tries only the
+    # 2^c - 2 unions of the cell graph's c components.
+    from tropfw import covector, fw
+
+    calls = {"directions": 0, "walks": 0}
+    cells = []
+    direction_rows, walk = covector._direction_rows, covector._walk_to_boundary
+    vertices_of = fw.cell_vertices
+
+    def counted_directions(*args):
+        calls["directions"] += 1
+        return direction_rows(*args)
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    def recorded(cell):
+        before = dict(calls)
+        verts = vertices_of(cell)
+        cells.append((cell.graph.component_count(), len(verts),
+                      calls["directions"] - before["directions"],
+                      calls["walks"] - before["walks"]))
+        return verts
+
+    monkeypatch.setattr(covector, "_direction_rows", counted_directions)
+    monkeypatch.setattr(covector, "_walk_to_boundary", counted_walk)
+    monkeypatch.setattr(fw, "cell_vertices", recorded)
+    t0 = time.monotonic()
+    for seed in (3, 8, 9):
+        rng = random.Random(seed)
+        m = 2 + seed % 2
+        trees = [random_tree(rng, 8) for _ in range(m)]
+        w = WeightVector.normalized([Fraction(rng.randint(1, 4)) for _ in range(m)])
+        cons = consensus(trees, w)
+        assert check_ultrametric(tree_to_ultrametric(cons))
+        assert check_pareto(trees, w, cons).ok
+    assert time.monotonic() - t0 < 60
+    assert len(cells) == 3 and max(c for c, _, _, _ in cells) == 2
+    for c, n_verts, directions, walks in cells:
+        assert directions == n_verts * (2 ** c - 2)
+        # walks along cell edges plus at most two per descent step
+        assert walks <= directions + 2 * (c - 1)
